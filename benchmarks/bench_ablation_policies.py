@@ -21,13 +21,13 @@ from repro.common.rng import RngRegistry
 from repro.common.simtime import DAY, Window
 from repro.common.stats import percentile
 from repro.core.optimizer import KeeboService, OptimizerConfig
+from repro.learning.actions import ActionSpace
 from repro.learning.baselines import (
     GreedyDownsizerPolicy,
     RuleOfThumbPolicy,
     StaticPolicy,
 )
 from repro.learning.features import WorkloadBaseline
-from repro.core.actions import ActionSpace
 from repro.warehouse.account import Account
 from repro.warehouse.api import CloudWarehouseClient
 from repro.warehouse.config import WarehouseConfig

@@ -387,15 +387,10 @@ class SmartModel:
         downsize_depth = int(c * self.params.max_downsize_steps)
         size_floor = self.original.size.step(-downsize_depth)
         size_ceiling = self.original.size.step(self.params.max_upsize_steps)
-        for i, action in enumerate(self.action_space.actions):
-            if not mask[i]:
-                continue
-            if not action.keeps_suspend and action.suspend_seconds < suspend_floor - 1e-9:
-                mask[i] = False
-                continue
-            target = self.action_space.apply(current, action)
-            if not size_floor <= target.size <= size_ceiling:
-                mask[i] = False
+        space = self.action_space
+        mask &= space.keeps_suspend | ~(space.suspend_seconds < suspend_floor - 1e-9)
+        sizes = space.row(current).sizes
+        mask &= (sizes >= size_floor.value) & (sizes <= size_ceiling.value)
         if not mask.any():
             # A constraint floor can be unreachable in one step (e.g. a rule
             # demanding X-Large while the warehouse sits at Small).  In the

@@ -3,9 +3,8 @@
 This vocabulary is shared by the learning layer (env, baselines) and the
 control loop above it (constraints, optimizer, smart model), so it lives
 here at the learning layer — the lower of the two — and ``repro.core``
-imports it downward (``repro.core.actions`` remains as a re-export shim).
-Defining it any higher re-creates the learning -> core layering cycle the
-analyzer rejects (R012, docs/ANALYSIS.md).
+imports it downward.  Defining it any higher re-creates the learning ->
+core layering cycle the analyzer rejects (R012, docs/ANALYSIS.md).
 
 Each action jointly sets the three optimization surfaces the paper focuses
 on — warehouse size (resize up/down/keep), the auto-suspend interval
@@ -22,7 +21,9 @@ simultaneously slashed), so the learner must evaluate combinations.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,6 +72,31 @@ class Action:
         return f"{size}, suspend={suspend}, {cl}"
 
 
+def _lattice_key(config: WarehouseConfig) -> tuple:
+    """``config`` plus what its equality ignores but ``apply`` keeps.
+
+    Inputs that compare equal but differ in type or sign (600 vs 600.0,
+    0.0 vs -0.0) pass through ``apply`` unchanged, so each gets its own row
+    and no caller is handed another caller's value.
+    """
+    s = config.auto_suspend_seconds
+    return (
+        config,
+        type(s),
+        math.copysign(1.0, s),
+        type(config.min_clusters),
+        type(config.max_concurrency),
+    )
+
+
+class LatticeRow(NamedTuple):
+    """Every action's resulting config from one starting config."""
+
+    configs: tuple[WarehouseConfig, ...]
+    #: ``configs[i].size`` as ints, for array-valued size tests.
+    sizes: np.ndarray
+
+
 class ActionSpace:
     """The fixed enumeration of joint actions plus apply/mask helpers.
 
@@ -79,6 +105,10 @@ class ActionSpace:
     ``max_size_headroom`` steps above it (provisioning far beyond what the
     customer ever asked for is a business decision, not an optimization),
     and the cluster cap stays within [1, original max].
+
+    The space is a lattice: the configs a warehouse passes through form a
+    small set (a few dozen per fleet archetype), so each one's row of
+    resulting configs is built on first use and read from then on.
     """
 
     def __init__(
@@ -97,6 +127,11 @@ class ActionSpace:
             )
         ]
         self._index = {a: i for i, a in enumerate(self.actions)}
+        #: Per-action columns, so masks over the space are array tests.
+        self.suspend_seconds = np.array([a.suspend_seconds for a in self.actions])
+        self.keeps_suspend = np.array([a.keeps_suspend for a in self.actions])
+        self._rows: dict[tuple, LatticeRow] = {}
+        self._configs: dict[tuple, WarehouseConfig] = {}
 
     def __len__(self) -> int:
         return len(self.actions)
@@ -112,16 +147,37 @@ class ActionSpace:
         """The fully conservative action: change nothing at all."""
         return self.index(Action(0, KEEP_SUSPEND, 0))
 
+    def row(self, config: WarehouseConfig) -> LatticeRow:
+        """The lattice row of ``config``: every action's result, built once."""
+        key = _lattice_key(config)
+        row = self._rows.get(key)
+        if row is None:
+            # Rows share one object per distinct config: a space then holds
+            # a few dozen configs rather than 36 per row.
+            configs = tuple(
+                self._configs.setdefault(_lattice_key(c), c)
+                for c in (self._apply_uncached(config, a) for a in self.actions)
+            )
+            sizes = np.array([c.size.value for c in configs], dtype=np.int64)
+            sizes.flags.writeable = False  # shared by every caller
+            row = self._rows[key] = LatticeRow(configs, sizes)
+        return row
+
     def apply(self, config: WarehouseConfig, action: Action) -> WarehouseConfig:
         """The configuration that results from taking ``action`` now."""
+        return self.row(config).configs[self.index(action)]
+
+    def resulting_configs(self, config: WarehouseConfig) -> list[WarehouseConfig]:
+        return list(self.row(config).configs)
+
+    def _apply_uncached(self, config: WarehouseConfig, action: Action) -> WarehouseConfig:
         new_size = config.size.step(action.resize_delta)
         new_size = WarehouseSize(
-            int(np.clip(new_size.value, self.min_size.value, self.max_size.value))
+            min(max(new_size.value, self.min_size.value), self.max_size.value)
         )
         new_max = int(
-            np.clip(
-                config.max_clusters + action.max_cluster_delta,
-                1,
+            min(
+                max(config.max_clusters + action.max_cluster_delta, 1),
                 min(self.original.max_clusters, MAX_CLUSTER_COUNT),
             )
         )
@@ -137,15 +193,3 @@ class ActionSpace:
             max_clusters=new_max,
             min_clusters=new_min,
         )
-
-    def effective_mask(self, config: WarehouseConfig) -> np.ndarray:
-        """Actions that actually change something reachable from ``config``.
-
-        Clamped actions that collapse onto an identical resulting config are
-        still valid (they become no-ops); this mask is all-True and exists
-        as the base the constraint engine and guardrails AND into.
-        """
-        return np.ones(len(self.actions), dtype=bool)
-
-    def resulting_configs(self, config: WarehouseConfig) -> list[WarehouseConfig]:
-        return [self.apply(config, a) for a in self.actions]

@@ -151,10 +151,9 @@ class WarehouseEnv:
         return self._state()
 
     def current_mask(self) -> np.ndarray:
-        config = self.client.current_config("WH")
         if self.mask_fn is None:
-            return self.action_space.effective_mask(config)
-        return self.mask_fn(self.now, config)
+            return np.ones(len(self.action_space), dtype=bool)
+        return self.mask_fn(self.now, self.client.current_config("WH"))
 
     def step(self, action_index: int) -> EnvStep:
         if self.account is None:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.common.errors import ReproError
@@ -33,17 +33,16 @@ class SimulationError(ReproError):
     scheduled time and label in the message)."""
 
 
-@dataclass(order=True)
+@dataclass(eq=False, slots=True)
 class _Event:
     time: float
-    seq: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    label: str | None = field(default=None, compare=False)
+    callback: Callable[[], None]
+    label: str | None = None
+    cancelled: bool = False
     #: Set when the event leaves the heap, so a late ``cancel()`` (e.g. a
     #: controller stopping itself mid-dispatch) does not touch the pending
     #: counter for an event that is no longer pending.
-    popped: bool = field(default=False, compare=False)
+    popped: bool = False
 
 
 class EventHandle:
@@ -73,7 +72,9 @@ class Simulation:
 
     def __init__(self, start_time: float = 0.0):
         self.now = float(start_time)
-        self._heap: list[_Event] = []
+        # (time, seq, event) entries: the unique (time, seq) prefix orders
+        # the heap with C tuple comparisons and never reaches the event.
+        self._heap: list[tuple[float, int, _Event]] = []
         self._seq = itertools.count()
         self.processed_events = 0
         # Live count of schedulable (non-cancelled, not-yet-popped) events.
@@ -91,8 +92,9 @@ class Simulation:
         """
         if time < self.now - 1e-9:
             raise SimulationError(f"cannot schedule at {time} before now={self.now}")
-        event = _Event(max(time, self.now), next(self._seq), callback, label=label)
-        heapq.heappush(self._heap, event)
+        time = max(time, self.now)
+        event = _Event(time, callback, label)
+        heapq.heappush(self._heap, (time, next(self._seq), event))
         self._pending += 1
         return EventHandle(self, event)
 
@@ -140,8 +142,9 @@ class Simulation:
         if end_time < self.now:
             raise SimulationError(f"end_time {end_time} precedes now {self.now}")
         before = self.processed_events
-        while self._heap and self._heap[0].time <= end_time:
-            event = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap and heap[0][0] <= end_time:
+            event = heapq.heappop(heap)[2]
             event.popped = True
             if event.cancelled:
                 continue  # removed from the pending count at cancel time
@@ -155,14 +158,16 @@ class Simulation:
     def run_all(self, hard_stop: float | None = None) -> None:
         """Drain the event queue (optionally up to ``hard_stop``)."""
         before = self.processed_events
-        while self._heap:
-            head = self._heap[0]
+        heap = self._heap
+        while heap:
+            head = heap[0][2]
             if head.cancelled:
-                heapq.heappop(self._heap).popped = True
+                heapq.heappop(heap)
+                head.popped = True
                 continue
             if hard_stop is not None and head.time > hard_stop:
                 break
-            heapq.heappop(self._heap)
+            heapq.heappop(heap)
             head.popped = True
             self._pending -= 1
             self.now = head.time

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.errors import InvalidActionError
-from repro.core.actions import KEEP_SUSPEND, SUSPEND_CHOICES, Action, ActionSpace
+from repro.learning.actions import KEEP_SUSPEND, SUSPEND_CHOICES, Action, ActionSpace
 from repro.warehouse.config import WarehouseConfig
 from repro.warehouse.types import WarehouseSize
 
@@ -28,6 +28,8 @@ class TestActionSpace:
         space = ActionSpace(original())
         with pytest.raises(InvalidActionError):
             space.index(Action(5, 60.0, 0))
+        with pytest.raises(InvalidActionError):
+            space.apply(original(), Action(5, 60.0, 0))
 
     def test_noop_changes_nothing(self):
         space = ActionSpace(original())

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from repro.common.simtime import HOUR, Window
-from repro.core.actions import ActionSpace
 from repro.core.constraints import ConstraintRule, ConstraintSet
 from repro.core.monitoring import RealTimeFeedback
 from repro.core.sliders import SliderPosition, slider_params
 from repro.core.smart_model import DecisionKind, SmartModel
 from repro.costmodel.model import WarehouseCostModel
+from repro.learning.actions import ActionSpace
 from repro.learning.agent import DQNAgent, DQNConfig
 from repro.learning.features import FEATURE_DIM, FeatureExtractor, WorkloadBaseline
 from repro.warehouse.api import CloudWarehouseClient

@@ -197,8 +197,10 @@ class TestPendingCounter:
 
     @staticmethod
     def _scan(sim):
-        """The old O(heap) definition: ground truth for the counter."""
-        return sum(1 for e in sim._heap if not e.cancelled)
+        """The old O(heap) definition: ground truth for the counter.
+
+        Heap entries are ``(time, seq, event)`` tuples."""
+        return sum(1 for _, _, e in sim._heap if not e.cancelled)
 
     def test_schedule_and_run_keep_counter_exact(self):
         sim = Simulation()
@@ -267,3 +269,60 @@ class TestPendingCounter:
             assert sim.pending_events == self._scan(sim)
         sim.run_all()
         assert sim.pending_events == self._scan(sim) == 0
+
+
+class TestHeapEntries:
+    """The heap holds ``(time, seq, event)`` tuples; these pin the order
+    and bookkeeping that the tuple keys must reproduce."""
+
+    def test_equal_time_events_pop_in_seq_order(self):
+        sim = Simulation()
+        fired = []
+        # Interleave two timestamps so heap sifting, not push order alone,
+        # has to break the ties.
+        for i in range(40):
+            sim.schedule(10.0 if i % 2 else 5.0, lambda i=i: fired.append(i))
+        sim.run_all()
+        assert fired == list(range(0, 40, 2)) + list(range(1, 40, 2))
+
+    def test_equal_time_events_scheduled_mid_dispatch_fire_after(self):
+        sim = Simulation()
+        fired = []
+
+        def first():
+            fired.append("first")
+            sim.schedule(10.0, lambda: fired.append("late"))
+
+        sim.schedule(10.0, first)
+        sim.schedule(10.0, lambda: fired.append("second"))
+        sim.run_until(10.0)
+        assert fired == ["first", "second", "late"]
+
+    def test_cancel_after_pop_keeps_pending_exact(self):
+        sim = Simulation()
+        done = sim.schedule(5.0, lambda: None)
+        skipped = sim.schedule(6.0, lambda: None)
+        sim.schedule(20.0, lambda: None)
+        skipped.cancel()
+        sim.run_until(10.0)  # pops both: one dispatched, one cancelled
+        assert sim.pending_events == TestPendingCounter._scan(sim) == 1
+        done.cancel()
+        skipped.cancel()
+        assert done.cancelled and skipped.cancelled
+        assert sim.pending_events == TestPendingCounter._scan(sim) == 1
+        sim.run_all()
+        assert sim.pending_events == 0
+
+    def test_run_all_skips_a_cancelled_head(self):
+        sim = Simulation()
+        fired = []
+        head = sim.schedule(1.0, lambda: fired.append("head"))
+        sim.schedule(1.0, lambda: fired.append("tie"))
+        sim.schedule(2.0, lambda: fired.append("tail"))
+        head.cancel()
+        sim.run_all()
+        assert fired == ["tie", "tail"]
+        assert sim.processed_events == 2
+        assert sim.pending_events == 0
+        assert sim._heap == []
+        assert sim.now == 2.0
