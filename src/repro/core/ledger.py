@@ -17,21 +17,20 @@ recomputation under a later (possibly refitted) cost model.
 every decision tick at O(delta) cost, instead of only once per
 ``report_interval`` after a full-window recompute.  At each period close
 the streamed projection is reconciled against the authoritative full
-estimate — in exact mode the two are bit-identical whenever the period
-boundaries line up, which turns the reconciliation into a free runtime
-self-check of the incremental ledger.
+estimate — the two are bit-identical whenever the period boundaries line
+up, which turns the reconciliation into a free runtime self-check of the
+incremental ledger.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 from repro.common.errors import ConfigurationError
 from repro.common.simtime import Window
 from repro.costmodel.clusters import ClusterCountPredictor
 from repro.costmodel.gaps import GapModel
-from repro.costmodel.incremental import IncrementalReplay, SketchResult
+from repro.costmodel.incremental import IncrementalReplay
 from repro.costmodel.latency import LatencyScalingModel
 from repro.costmodel.model import SavingsEstimate
 from repro.costmodel.replay import ReplayResult
@@ -139,12 +138,10 @@ class LiveReconciliation:
     """One closed period's streamed projection vs the authoritative estimate.
 
     ``aligned`` is True when the streamed period's boundaries matched the
-    report period exactly; only then is ``divergence`` meaningful.  In
-    exact mode an aligned divergence must be ``0.0`` to the bit — both
-    sides replay the same rows under the same models — so any non-zero
-    value is an incremental-ledger defect surfacing at runtime, not noise.
-    In sketch mode ``divergence`` is the distance of the estimate from the
-    ``[projected_lo, projected_hi]`` interval (0.0 when enclosed).
+    report period exactly; only then is ``divergence`` meaningful.  An
+    aligned divergence must be ``0.0`` to the bit — both sides replay the
+    same rows under the same models — so any non-zero value is an
+    incremental-ledger defect surfacing at runtime, not noise.
     """
 
     window: Window
@@ -153,9 +150,6 @@ class LiveReconciliation:
     estimated_credits: float
     divergence: float
     rows_streamed: int
-    #: Sketch-mode hull; in exact mode both equal ``projected_credits``.
-    projected_lo: float = 0.0
-    projected_hi: float = 0.0
 
 
 class LiveLedger:
@@ -164,8 +158,8 @@ class LiveLedger:
     Feed completed QUERY_HISTORY rows with :meth:`ingest` (idempotent per
     query id — the open period is re-scanned every tick because rows only
     become visible at completion), read the running projection with
-    :meth:`projection`/:meth:`sketch_projection`, close a period with
-    :meth:`reconcile` and start the next with :meth:`roll`.
+    :meth:`projection`, close a period with :meth:`reconcile` and start the
+    next with :meth:`roll`.
     """
 
     def __init__(
@@ -175,15 +169,11 @@ class LiveLedger:
         gap_model: GapModel,
         cluster_predictor: ClusterCountPredictor,
         period: Window,
-        mode: str = "exact",
-        resolution: float = 60.0,
     ):
         self.warehouse = warehouse
         self.latency_model = latency_model
         self.gap_model = gap_model
         self.cluster_predictor = cluster_predictor
-        self.mode = mode
-        self.resolution = resolution
         self.cursor = period.start
         self.reconciliations: list[LiveReconciliation] = []
         self.unaligned_periods = 0
@@ -196,8 +186,6 @@ class LiveLedger:
             self.gap_model,
             self.cluster_predictor,
             period,
-            mode=self.mode,
-            resolution=self.resolution,
         )
 
     @property
@@ -225,11 +213,8 @@ class LiveLedger:
         return fresh
 
     def projection(self, config: WarehouseConfig) -> ReplayResult:
-        """The running what-if for the open period (exact mode)."""
+        """The running what-if for the open period."""
         return self.replay.result(config)
-
-    def sketch_projection(self, config: WarehouseConfig) -> SketchResult:
-        return self.replay.sketch(config)
 
     # ------------------------------------------------------------- period end
     def reconcile(
@@ -246,18 +231,8 @@ class LiveLedger:
             estimate.window.start == period.start
             and estimate.window.end == period.end
         )
-        if self.mode == "sketch":
-            sketch = self.sketch_projection(original)
-            lo, hi = sketch.credits_lo, sketch.credits_hi
-            projected = sketch.credits
-            target = estimate.without_keebo_credits
-            divergence = max(lo - target, target - hi, 0.0) if aligned else 0.0
-        else:
-            projected = self.projection(original).credits
-            lo = hi = projected
-            divergence = (
-                projected - estimate.without_keebo_credits if aligned else 0.0
-            )
+        projected = self.projection(original).credits
+        divergence = projected - estimate.without_keebo_credits if aligned else 0.0
         if not aligned:
             self.unaligned_periods += 1
         entry = LiveReconciliation(
@@ -267,8 +242,6 @@ class LiveLedger:
             estimated_credits=estimate.without_keebo_credits,
             divergence=divergence,
             rows_streamed=self.rows_streamed,
-            projected_lo=lo,
-            projected_hi=hi,
         )
         self.reconciliations.append(entry)
         return entry
@@ -289,8 +262,6 @@ class LiveLedger:
             "estimated_credits": entry.estimated_credits,
             "divergence": entry.divergence,
             "rows_streamed": entry.rows_streamed,
-            "projected_lo": entry.projected_lo,
-            "projected_hi": entry.projected_hi,
         }
 
     @staticmethod
@@ -302,8 +273,6 @@ class LiveLedger:
             estimated_credits=float(state["estimated_credits"]),
             divergence=float(state["divergence"]),
             rows_streamed=int(state["rows_streamed"]),
-            projected_lo=float(state["projected_lo"]),
-            projected_hi=float(state["projected_hi"]),
         )
 
     def state_dict(self) -> dict:
@@ -317,8 +286,6 @@ class LiveLedger:
         """
         return {
             "warehouse": self.warehouse,
-            "mode": self.mode,
-            "resolution": self.resolution,
             "cursor": self.cursor,
             "unaligned_periods": self.unaligned_periods,
             "replay": self.replay.state_dict(),
@@ -339,8 +306,6 @@ class LiveLedger:
             state,
             (
                 "warehouse",
-                "mode",
-                "resolution",
                 "cursor",
                 "unaligned_periods",
                 "replay",
@@ -349,8 +314,6 @@ class LiveLedger:
             "LiveLedger",
         )
         self.warehouse = state["warehouse"]
-        self.mode = state["mode"]
-        self.resolution = float(state["resolution"])
         self.cursor = float(state["cursor"])
         self.unaligned_periods = int(state["unaligned_periods"])
         self.reconciliations = [
@@ -370,43 +333,3 @@ class LiveLedger:
             self.replay.observe(record)
             self._seen.add(record.query_id)
         self.replay.verify_restored()
-
-
-def fleet_projection(
-    ledgers: list[LiveLedger],
-    config_for: Callable[[LiveLedger], WarehouseConfig],
-) -> dict:
-    """Roll open-period projections up across a fleet of live ledgers.
-
-    Sketch-mode ledgers contribute their bounded-error interval; exact
-    ledgers contribute a degenerate one.  ``config_for`` maps a ledger to
-    the baseline configuration to project under (typically the customer's
-    original).  The rollup is what the fleet store/watchtower ingest:
-    guaranteed lo/hi bounds on the fleet's projected without-Keebo spend.
-    """
-    lo = hi = 0.0
-    rows = 0
-    per_warehouse = {}
-    for ledger in ledgers:
-        config = config_for(ledger)
-        if ledger.mode == "sketch":
-            sketch = ledger.sketch_projection(config)
-            wh_lo, wh_hi = sketch.credits_lo, sketch.credits_hi
-        else:
-            credits = ledger.projection(config).credits
-            wh_lo = wh_hi = credits
-        lo += wh_lo
-        hi += wh_hi
-        rows += ledger.rows_streamed
-        per_warehouse[ledger.warehouse] = {
-            "credits_lo": wh_lo,
-            "credits_hi": wh_hi,
-            "rows": ledger.rows_streamed,
-        }
-    return {
-        "credits_lo": lo,
-        "credits_hi": hi,
-        "rows": rows,
-        "n_warehouses": len(ledgers),
-        "warehouses": per_warehouse,
-    }

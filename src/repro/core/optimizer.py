@@ -97,8 +97,8 @@ class OptimizerConfig:
     #: projection against the full estimate (docs/OBSERVABILITY.md).  Off by
     #: default: the extra obs series would perturb golden traces.
     live_ledger: bool = False
-    #: "exact" (aligned reconciliations are bit-identical) or "sketch"
-    #: (bounded-error interval, the fleet-rollup mode).
+    #: Kept only for callers that still pass it; "exact" is the one legal
+    #: value (aligned reconciliations are bit-identical).
     live_ledger_mode: str = "exact"
     agent: DQNConfig = field(default_factory=DQNConfig)
 
@@ -107,6 +107,10 @@ class OptimizerConfig:
             raise ConfigurationError("intervals must be positive")
         if self.training_window < self.episode_length:
             raise ConfigurationError("training window shorter than one episode")
+        if self.live_ledger_mode != "exact":
+            raise ConfigurationError(
+                f"live_ledger_mode must be 'exact'; got {self.live_ledger_mode!r}"
+            )
 
 
 def encode_decision(decision: Decision) -> dict:
@@ -274,7 +278,6 @@ class WarehouseOptimizer:
             self.cost_model.gap_model,
             self.cost_model.cluster_predictor,
             Window(start, start + self.config.report_interval),
-            mode=self.config.live_ledger_mode,
         )
 
     def _try_restore_checkpoint(self) -> bool:
@@ -693,11 +696,7 @@ class WarehouseOptimizer:
             return
         rows = self.account.telemetry.query_history(self.warehouse, horizon)
         fresh = ledger.ingest(rows, now)
-        original = self.action_space.original
-        if ledger.mode == "sketch":
-            projected = ledger.sketch_projection(original).credits
-        else:
-            projected = ledger.projection(original).credits
+        projected = ledger.projection(self.action_space.original).credits
         wh = self.warehouse.lower()
         obs.gauge(f"repro.ledger.live_projected_credits.{wh}").set(projected, time=now)
         if fresh:
@@ -706,10 +705,10 @@ class WarehouseOptimizer:
     def _reconcile_live_ledger(self, now: float, estimate: SavingsEstimate) -> None:
         """Close the streamed period against the authoritative estimate.
 
-        In exact mode an aligned reconciliation must diverge by exactly
-        0.0 — the incremental ledger is bit-identical to the full replay —
-        so a non-zero divergence is alerted as an invariant break, not
-        logged as noise.
+        An aligned reconciliation must diverge by exactly 0.0 — the
+        incremental ledger is bit-identical to the full replay — so a
+        non-zero divergence is alerted as an invariant break, not logged as
+        noise.
         """
         ledger = self.live_ledger
         self._stream_live_ledger(now)  # final sync before closing the books
@@ -729,7 +728,7 @@ class WarehouseOptimizer:
             rows_streamed=entry.rows_streamed,
         )
         obs.gauge(f"repro.ledger.live_divergence.{wh}").set(entry.divergence, time=now)
-        if entry.aligned and ledger.mode == "exact" and entry.divergence != 0.0:
+        if entry.aligned and entry.divergence != 0.0:
             obs.alerts().fire(
                 f"ledger.live_divergence.{wh}",
                 now,
@@ -995,7 +994,6 @@ class WarehouseOptimizer:
                 self.cost_model.gap_model,
                 self.cost_model.cluster_predictor,
                 period,
-                mode=live_state["mode"],
             )
             # Re-feed from the account's telemetry (it survives a
             # control-plane crash); verify_restored inside checks the row

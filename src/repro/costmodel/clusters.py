@@ -173,10 +173,7 @@ class ClusterCountPredictor:
 
         The tail of :meth:`predict`, exposed so callers that maintain the
         concurrency profile themselves (``repro.costmodel.incremental``) run
-        the identical float program.  Every operation here is monotone
-        non-decreasing in ``concurrency`` (ceil, clip, positive scaling,
-        masked clip/max), which is what lets the sketch mode bracket the
-        exact prediction between inner/outer concurrency hulls.
+        the identical float program and stay bit-identical to it.
         """
         analytic = self._analytic_clusters(concurrency, config)
         k = self.calibration if self.calibrate else 1.0

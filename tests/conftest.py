@@ -1,9 +1,23 @@
-"""Shared fixtures and helpers for the test suite."""
+"""Shared fixtures and helpers for the test suite.
+
+Hypothesis profiles: tier-1 loads ``tier1`` (derandomized, no example
+database), so a local run and CI draw the same examples whatever the
+environment or Hypothesis version.  ``HYPOTHESIS_PROFILE=explore`` draws
+fresh random examples and saves failures to ``.hypothesis/examples``; a
+counterexample found there is committed as an ``@example``, never left as a
+flake.  Per-test ``@settings`` values (e.g. ``max_examples``) override the
+profile's.
+"""
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.database import DirectoryBasedExampleDatabase
 
 from repro.common.rng import RngRegistry
 from repro.common.simtime import HOUR, Window
@@ -11,6 +25,20 @@ from repro.warehouse.account import Account
 from repro.warehouse.config import WarehouseConfig
 from repro.warehouse.queries import QueryRequest, QueryTemplate
 from repro.warehouse.types import WarehouseSize
+
+settings.register_profile(
+    "tier1", derandomize=True, database=None, print_blob=True, deadline=None
+)
+settings.register_profile(
+    "explore",
+    derandomize=False,
+    database=DirectoryBasedExampleDatabase(
+        Path(__file__).resolve().parent.parent / ".hypothesis" / "examples"
+    ),
+    print_blob=True,
+    deadline=None,
+)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))
 
 
 @pytest.fixture
