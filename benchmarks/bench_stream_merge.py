@@ -1,14 +1,16 @@
-"""Perf gate: streamed chunk merge vs monolithic payload merge.
+"""Perf gate: streamed chunk merge vs collect-then-merge.
 
-ISSUE 8's tentpole converts the obs pipeline from collect-then-merge
-(every worker payload alive in the parent at once) to a chunk stream over
-spill-bounded sinks.  This bench proves the conversion's two claims at
-fleet width:
+A worker session travels as one chunk stream folded by
+``Recorder.merge_payload``; the fold reads its stream lazily, so a spooled
+stream over spill-bounded sinks never has to sit in the parent whole.
+This bench compares that against collect-then-merge (every worker's
+session, one chunk each, alive in the parent at once) and proves two
+claims at fleet width:
 
 * **bounded memory** — the streamed path's Python allocation peak
-  (``tracemalloc``) must be *strictly below* the monolithic path's at the
-  same width, because it never holds more than one chunk plus a bounded
-  sink tail (asserted here, not just recorded);
+  (``tracemalloc``) must be *strictly below* the collect-then-merge
+  peak at the same width, because it never holds more than one chunk
+  plus a bounded sink tail (asserted here, not just recorded);
 * **same bytes** — both paths dump byte-identical merged traces (the
   determinism contract survives the transport change).
 
@@ -24,7 +26,7 @@ import timeit
 import tracemalloc
 
 from repro.obs import Recorder
-from repro.obs.stream import PayloadChunkMerger, SpillingTraceSink, payload_chunks
+from repro.obs.stream import SpillingTraceSink, payload_chunks
 
 from benchmarks.conftest import record_result, run_once
 
@@ -51,12 +53,13 @@ def _build_session(index: int, sink=None) -> Recorder:
 
 
 def _merge_monolithic(tmp_path):
-    """Collect-then-merge: every worker payload alive at once."""
+    """Collect-then-merge: every worker session, in one chunk, alive at once."""
     parent = Recorder()
-    payloads = [_build_session(i).to_payload() for i in range(WIDTH)]
+    payloads = [list(_build_session(i).to_payload_chunks()) for i in range(WIDTH)]
+    assert all(len(chunks) == 1 for chunks in payloads)
     t0 = timeit.default_timer()
-    for payload in payloads:
-        parent.merge_payload(payload)
+    for chunks in payloads:
+        parent.merge_payload(chunks)
     merge_seconds = timeit.default_timer() - t0
     out = tmp_path / "monolithic.jsonl"
     parent.sink.dump(out)
@@ -80,15 +83,21 @@ def _merge_streamed(tmp_path):
     parent = Recorder(
         sink=SpillingTraceSink(tmp_path / "parent", max_records=SPILL_RECORDS)
     )
-    merger = PayloadChunkMerger(parent)
     n_chunks = 0
+
+    def chunks(fh):
+        nonlocal n_chunks
+        for line in fh:
+            n_chunks += 1
+            yield json.loads(line)
+
     t0 = timeit.default_timer()
     with open(spool, encoding="utf-8") as fh:
-        for line in fh:
-            if merger.finished:
-                merger = PayloadChunkMerger(parent)
-            merger.merge(json.loads(line))
-            n_chunks += 1
+        stream = chunks(fh)
+        # Each fold stops at its session's final chunk; the next one
+        # picks the shared spool up from there.
+        for _ in range(WIDTH):
+            parent.merge_payload(stream)
     merge_seconds = timeit.default_timer() - t0
     out = tmp_path / "streamed.jsonl"
     parent.sink.dump(out)

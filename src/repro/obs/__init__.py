@@ -60,7 +60,6 @@ from repro.obs.stream import (
     HEARTBEAT_SCHEMA_VERSION,
     NULL_PROBE,
     RESOURCES_SCHEMA_VERSION,
-    PayloadChunkMerger,
     ResourceProbe,
     SpillingTraceSink,
     campaign_progress,
@@ -109,7 +108,6 @@ __all__ = [
     "CHUNK_SCHEMA_VERSION",
     "HEARTBEAT_SCHEMA_VERSION",
     "NULL_PROBE",
-    "PayloadChunkMerger",
     "RESOURCES_SCHEMA_VERSION",
     "ResourceProbe",
     "SpillingTraceSink",

@@ -1060,7 +1060,7 @@ def campaign(args: argparse.Namespace, out: IO[str]) -> int:
     The fleet's observability leaves the workers as bounded payload chunks
     (docs/OBSERVABILITY.md §v4): spill-bounded sinks, spooled chunk files,
     per-job heartbeats.  The merged trace and its metrics/series/alerts/
-    campaign sidecars are byte-identical to a serial monolithic run of the
+    campaign sidecars are byte-identical to a serial in-memory run of the
     same seeds; the ``.resources.json`` sidecar is the R018 quarantine and
     the only artifact CI must *not* compare across runs.
     """

@@ -112,10 +112,6 @@ class FleetStore:
             ingested += 1
         return ingested
 
-    def ingest_payload(self, payload: dict, run: str) -> int:
-        """Ingest a :meth:`repro.obs.trace.Recorder.to_payload` value."""
-        return self.ingest_trace_records(payload["records"], run)
-
     def merge(self, other: "FleetStore") -> int:
         """Append another store's rows in its insertion order.
 

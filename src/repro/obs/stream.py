@@ -1,21 +1,20 @@
-"""Streaming observability: bounded-memory payload transport for fleets.
+"""Streaming observability: bounded-memory session transport for fleets.
 
-The monolithic session pipeline (``Recorder.to_payload`` →
-``Recorder.merge_payload``) holds a worker's *entire* trace in memory and
-ships it as one value — fine for a six-customer fleet, hopeless for the
-10k-warehouse campaigns ROADMAP item 2 asks for.  This module converts
-that pipeline to a streaming one without giving up a single byte of the
-determinism contract (docs/OBSERVABILITY.md §v4):
+A worker session travels to its parent one way only: as the ordered
+chunk stream :meth:`repro.obs.trace.Recorder.to_payload_chunks` produces,
+folded back by :meth:`repro.obs.trace.Recorder.merge_payload`.  This
+module holds the pieces that keep that transport bounded for the
+10k-warehouse campaigns ROADMAP item 2 asks for, without giving up a
+single byte of the determinism contract (docs/OBSERVABILITY.md §v4):
 
 * :class:`SpillingTraceSink` — a drop-in ``TraceSink`` whose in-memory
   tail is size-bounded; overflow spills to byte-stable JSONL segment
   files whose deterministic concatenation *is* ``to_jsonl()``, so a
   worker's peak RSS is O(spill bound), not O(run);
-* :func:`payload_chunks` / :class:`PayloadChunkMerger` — the session
-  payload split into an ordered stream of bounded chunks and folded back
-  incrementally; merging a worker's chunks in order is byte-identical to
-  merging its monolithic payload (``tests/props/test_obs_stream_determinism``
-  states this as an equality);
+* :func:`payload_chunks` — the session split into an ordered stream of
+  bounded chunks; folding it is byte-identical whatever the chunk size
+  (``tests/props/test_payload_merge_props`` states this as an equality),
+  so a spooled stream can be read back one line at a time;
 * campaign **heartbeats** — workers append deterministic progress records
   (scenario, chunk seq, spans/events, sim-time reached) to a per-job file
   in a progress directory; ``repro.cli obs watch`` tails them and
@@ -189,10 +188,10 @@ def payload_chunks(recorder, max_events: int = DEFAULT_CHUNK_EVENTS) -> Iterator
 
     Each chunk carries at most ``max_events`` trace records plus that
     chunk's span-record count; the first chunk declares the session's
-    total consumed span ids (so the merger can reserve the whole block up
-    front, exactly like the monolithic merge), and the final chunk carries
-    the metrics/series snapshots — bounded aggregates that need no
-    chunking.  A session with zero records still yields one final chunk.
+    total consumed span ids (so the merge can reserve the whole block up
+    front), and the final chunk carries the metrics/series snapshots —
+    bounded aggregates that need no chunking.  A session with zero
+    records still yields one final chunk.
     """
     if max_events <= 0:
         raise ObservabilityError("chunk size must be a positive record count")
@@ -233,64 +232,6 @@ def payload_chunks(recorder, max_events: int = DEFAULT_CHUNK_EVENTS) -> Iterator
             batch = []
             batch_spans = 0
     yield chunk(final=True)
-
-
-class PayloadChunkMerger:
-    """Folds one worker session's ordered chunk stream into a recorder.
-
-    Reserves the worker's whole span-id block on the first chunk (the
-    stream declares its total up front), then renumbers and appends each
-    chunk's records as it arrives — so after the final chunk the parent
-    session is byte-identical to one that merged the monolithic payload,
-    while never holding more than one chunk in memory.
-    """
-
-    def __init__(self, recorder):
-        self.recorder = recorder
-        self.finished = False
-        self._next_seq = 0
-        self._offset = 0
-        self._span_total: int | None = None
-        self._merged_spans = 0
-
-    def merge(self, chunk: dict) -> None:
-        if self.finished:
-            raise ObservabilityError("chunk stream already merged its final chunk")
-        if self.recorder._stack:
-            raise ObservabilityError(
-                "cannot merge a payload chunk while spans are open"
-            )
-        schema = chunk.get("schema")
-        if schema != CHUNK_SCHEMA_VERSION:
-            raise ObservabilityError(
-                f"unsupported chunk schema {schema!r} "
-                f"(expected {CHUNK_SCHEMA_VERSION})"
-            )
-        seq = int(chunk["seq"])
-        if seq != self._next_seq:
-            raise ObservabilityError(
-                f"chunk out of order: got seq {seq}, expected {self._next_seq}"
-            )
-        if seq == 0:
-            total = int(chunk["span_id_total"])
-            self._span_total = total
-            self._offset = (
-                self.recorder.reserve_span_ids(total) - 1 if total else 0
-            )
-        self._merged_spans += self.recorder._merge_records(
-            chunk["records"], self._offset
-        )
-        self._next_seq += 1
-        if chunk["final"]:
-            if self._merged_spans != self._span_total:
-                raise ObservabilityError(
-                    f"chunk stream integrity failure: merged "
-                    f"{self._merged_spans} span records but the stream "
-                    f"declared {self._span_total}"
-                )
-            self.recorder.metrics.merge(chunk["metrics"])
-            self.recorder.series.merge(chunk["series"])
-            self.finished = True
 
 
 # --------------------------------------------------------------- heartbeats

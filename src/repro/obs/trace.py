@@ -28,7 +28,7 @@ import itertools
 import json
 import pathlib
 from contextlib import contextmanager
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from repro.obs.alerts import NULL_ALERTS, AlertManager
 from repro.obs.manifest import RunManifest
@@ -167,7 +167,6 @@ class Recorder:
         self.manifest = manifest
         self._ids = itertools.count(1)
         self._stack: list[int] = []
-        self._chunk_merger = None  # in-flight PayloadChunkMerger, if any
         if manifest is not None:
             self.sink.write(
                 {
@@ -236,82 +235,16 @@ class Recorder:
             next(self._ids)
         return first
 
-    def to_payload(self) -> dict:
-        """This session's state as a plain (picklable) value tree.
-
-        Captured in a worker process after its scenario finishes; the
-        parent folds it back with :meth:`merge_payload`.  Only complete
-        sessions can travel — open spans mean the run is still in flight.
-        """
-        if self._stack:
-            raise ObservabilityError(
-                "cannot capture a session payload with open spans"
-            )
-        return {
-            "records": self.sink.records,
-            # Ids are allocated at span open and every opened span has
-            # closed (empty stack), so the consumed-id count is the number
-            # of span records.
-            "span_ids": sum(1 for r in self.sink.records if r["type"] == "span"),
-            "metrics": self.metrics.snapshot(),
-            "series": self.series.snapshot(),
-        }
-
-    def merge_payload(self, payload: dict) -> None:
-        """Fold a worker session's :meth:`to_payload` into this session.
-
-        Deterministic by construction: span ids are renumbered into a block
-        reserved off this session's counter, trace records append in the
-        worker's emission order, and metrics/series merge with sequential-
-        composition semantics — so merging worker payloads in submission
-        order reproduces, byte for byte, the session a serial run of the
-        same scenarios would have produced.  Alert *dedup state* does not
-        travel: each scenario runs its own alert lifecycle (the fire/resolve
-        events are already in the records).
-        """
-        if self._stack:
-            raise ObservabilityError(
-                "cannot merge a session payload while spans are open"
-            )
-        if self._chunk_merger is not None:
-            raise ObservabilityError(
-                "cannot merge a monolithic payload while a chunk stream is "
-                "mid-flight; finish it first"
-            )
-        n = int(payload["span_ids"])
-        offset = (self.reserve_span_ids(n) - 1) if n else 0
-        self._merge_records(payload["records"], offset)
-        self.metrics.merge(payload["metrics"])
-        self.series.merge(payload["series"])
-
-    def _merge_records(self, records: list[dict], offset: int) -> int:
-        """Renumber and append foreign records; returns the span count.
-
-        The shared body of :meth:`merge_payload` and the chunked merge
-        path — one renumbering rule, two transports.
-        """
-        spans = 0
-        for record in records:
-            rtype = record.get("type")
-            if rtype == "span":
-                spans += 1
-                record = dict(record)
-                record["id"] = record["id"] + offset
-                if record["parent"] is not None:
-                    record["parent"] = record["parent"] + offset
-            elif rtype == "event" and record.get("span") is not None:
-                record = dict(record)
-                record["span"] = record["span"] + offset
-            self.sink.write(record)
-        return spans
-
     def to_payload_chunks(self, max_events: int | None = None):
-        """This session's payload as an ordered stream of bounded chunks.
+        """This session as an ordered stream of bounded payload chunks.
 
-        The streaming counterpart of :meth:`to_payload`: yields dicts of
-        at most ``max_events`` trace records each (plus metrics/series on
-        the final chunk), so neither side ever holds the whole session.
-        See :func:`repro.obs.stream.payload_chunks`.
+        The one transport a worker session travels by: dicts of at most
+        ``max_events`` trace records each, the first declaring the
+        session's consumed span ids, the final one carrying the
+        metrics/series snapshots.  Only complete sessions can travel —
+        open spans mean the run is still in flight.  The parent folds the
+        stream back with :meth:`merge_payload`.  See
+        :func:`repro.obs.stream.payload_chunks`.
         """
         from repro.obs import stream  # local: stream imports obs.metrics
 
@@ -319,22 +252,70 @@ class Recorder:
             max_events = stream.DEFAULT_CHUNK_EVENTS
         return stream.payload_chunks(self, max_events=max_events)
 
-    def merge_payload_chunk(self, chunk: dict) -> None:
-        """Fold one chunk of a worker's stream into this session.
+    def merge_payload(self, chunks: Iterable[dict]) -> None:
+        """Fold a worker session's :meth:`to_payload_chunks` stream in.
 
-        Chunks of one worker stream must arrive in sequence order; the
-        stream finishes at its final chunk, after which the next chunk
-        with ``seq == 0`` starts the next worker's stream.  Merging a
-        stream chunk-by-chunk is byte-identical to :meth:`merge_payload`
-        of the same session's monolithic payload.
+        Reads ``chunks`` up to and including the final chunk, one chunk at
+        a time, so a lazily read stream is never held whole.  The first
+        chunk's ``span_id_total`` reserves the worker's span-id block off
+        this session's counter; every chunk's records are renumbered into
+        it and appended in the worker's emission order; the final chunk's
+        metrics/series merge with sequential-composition semantics.
+        Merging worker streams in submission order therefore reproduces,
+        byte for byte, the session a serial run of the same scenarios
+        would have produced, whatever the chunk size.  Alert *dedup
+        state* does not travel: each scenario runs its own alert lifecycle
+        (the fire/resolve events are already in the records).
+
+        Raises :class:`ObservabilityError` on open spans here, a foreign
+        chunk schema, a ``seq`` gap, a merged span count that differs from
+        the declared total, or a stream that ends before its final chunk.
         """
         from repro.obs import stream  # local: stream imports obs.metrics
 
-        if self._chunk_merger is None:
-            self._chunk_merger = stream.PayloadChunkMerger(self)
-        self._chunk_merger.merge(chunk)
-        if self._chunk_merger.finished:
-            self._chunk_merger = None
+        if self._stack:
+            raise ObservabilityError(
+                "cannot merge a session payload while spans are open"
+            )
+        offset = span_total = merged_spans = 0
+        for seq, chunk in enumerate(chunks):
+            schema = chunk.get("schema")
+            if schema != stream.CHUNK_SCHEMA_VERSION:
+                raise ObservabilityError(
+                    f"unsupported chunk schema {schema!r} "
+                    f"(expected {stream.CHUNK_SCHEMA_VERSION})"
+                )
+            if int(chunk["seq"]) != seq:
+                raise ObservabilityError(
+                    f"chunk out of order: got seq {chunk['seq']}, expected {seq}"
+                )
+            if seq == 0:
+                span_total = int(chunk["span_id_total"])
+                offset = self.reserve_span_ids(span_total) - 1 if span_total else 0
+            for record in chunk["records"]:
+                rtype = record.get("type")
+                if rtype == "span":
+                    merged_spans += 1
+                    record = dict(record)
+                    record["id"] = record["id"] + offset
+                    if record["parent"] is not None:
+                        record["parent"] = record["parent"] + offset
+                elif rtype == "event" and record.get("span") is not None:
+                    record = dict(record)
+                    record["span"] = record["span"] + offset
+                self.sink.write(record)
+            if chunk["final"]:
+                if merged_spans != span_total:
+                    raise ObservabilityError(
+                        f"chunk stream integrity failure: merged {merged_spans} "
+                        f"span records but the stream declared {span_total}"
+                    )
+                self.metrics.merge(chunk["metrics"])
+                self.series.merge(chunk["series"])
+                return
+        raise ObservabilityError(
+            "chunk stream ended before its final chunk (worker died mid-capture?)"
+        )
 
     # --------------------------------------------------------------- metrics
     def counter(self, name: str) -> Counter:

@@ -10,16 +10,19 @@ This package provides that guarantee (docs/PERFORMANCE.md):
   objects — each worker rebuilds its scenario from the registered factory,
   and ``RngRegistry``'s name-derived streams make the rebuild exact;
 * each scenario runs in an isolated observation session (in a worker *or*
-  inline), and the parent folds the captured payloads back **in submission
-  order** through :meth:`repro.obs.Recorder.merge_payload`;
-* the serial (``workers=0``) path uses the very same isolate-and-merge
-  machinery, so ``workers=N`` output is byte-identical to ``workers=0``
-  by construction, not by luck;
-* with a :class:`~repro.parallel.pool.StreamConfig`, payloads instead
-  travel as bounded chunk streams spooled through disk
+  inline) that travels back one way only — as its payload chunk stream —
+  and the parent folds each stream **in submission order** through
+  :meth:`repro.obs.Recorder.merge_payload` as soon as its turn comes;
+* the inline (``workers=0``) path runs the very same worker entrypoint
+  and fold, so ``workers=N`` output is byte-identical to ``workers=0``
+  by construction, not by luck — and a failing job leaves the parent
+  session holding exactly the jobs submitted before it, for every
+  ``workers`` value;
+* with a :class:`~repro.parallel.pool.StreamConfig`, the chunks are
+  spooled through disk instead of held in memory
   (:mod:`repro.obs.stream`): worker peak RSS is O(spill bound), the
   parent folds O(chunk) at a time, workers heartbeat their progress —
-  and the exported bytes are *still* identical to the monolithic paths.
+  and the exported bytes are *still* identical.
 
 This is the only module allowed to touch :mod:`multiprocessing`
 (lint rule R011, docs/INVARIANTS.md).

@@ -12,12 +12,19 @@ order:
   observation session per job when a session is active;
 * ``workers>0`` runs jobs in ``spawn``-context worker processes.  Each
   worker rebuilds its scenario from the job's
-  :class:`~repro.experiments.scenarios.ScenarioSpec`, records into a
-  fresh session, and ships the result plus the session payload back.
+  :class:`~repro.experiments.scenarios.ScenarioSpec` and records into a
+  fresh session.
 
-Either way the parent merges the per-job payloads in submission order, so
-the two paths produce byte-identical traces, metrics and series exports
-(tests/experiments/test_parallel.py states this as an equality).
+Both paths run the one worker entrypoint, :func:`_execute`, which ships
+the session back one way only: as the chunk stream
+:meth:`~repro.obs.trace.Recorder.to_payload_chunks` produces — held in
+memory by default, spooled to disk under a :class:`StreamConfig`.  The
+parent folds each stream with :meth:`~repro.obs.trace.Recorder.merge_payload`
+the moment its job's turn in submission order comes, so every
+``workers`` value produces byte-identical traces, metrics and series
+exports (tests/experiments/test_parallel.py states this as an equality).
+The same order fixes what a failure leaves behind: when a job raises,
+the parent session holds exactly the jobs submitted before it.
 
 Worker deaths are survivable: a :class:`BrokenProcessPool` (OOM kill,
 segfault, ``os._exit``) rebuilds the pool and re-submits the jobs that
@@ -39,12 +46,11 @@ import json
 import multiprocessing
 import os
 import pathlib
-import sys
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from repro.common.errors import ReproError
 from repro.obs import stream as obs_stream
@@ -171,28 +177,10 @@ class StreamConfig:
         return pathlib.Path(self.dir)
 
 
-def _execute(job: WorkerJob, observe: bool, bucket_seconds: float):
-    """Worker entrypoint: rebuild, run, and capture the session payload.
-
-    Module-level so ``spawn`` can pickle it by reference.  Also the serial
-    path's per-job body — both paths run *exactly* this code.
-    """
-    fn = resolve_protocol(job.protocol)
-    scenario = job.build_scenario()
-    if not observe:
-        return fn(scenario, **dict(job.kwargs)), None
-    rec = obs_trace.start(bucket_seconds=bucket_seconds)
-    try:
-        result = fn(scenario, **dict(job.kwargs))
-    finally:
-        obs_trace.stop()
-    return result, rec.to_payload()
-
-
 def _job_label(job: WorkerJob) -> str:
     """The scenario label heartbeats carry — identical on both paths.
 
-    Serial jobs arrive un-shipped (spec on the scenario, not the job), so
+    Inline jobs arrive un-shipped (spec on the scenario, not the job), so
     look through to the scenario's spec before falling back to its name.
     """
     spec = job.spec
@@ -203,59 +191,67 @@ def _job_label(job: WorkerJob) -> str:
     return str(getattr(job.scenario, "name", "?"))
 
 
-def _execute_streamed(
+def _execute(
     job: WorkerJob,
     index: int,
     observe: bool,
     bucket_seconds: float,
-    dir_str: str,
-    max_chunk_events: int,
-    spill_records: int,
+    stream: StreamConfig | None,
 ):
-    """Streamed worker entrypoint: spill, run, spool chunks, heartbeat.
+    """The worker entrypoint: rebuild, run, and ship the session's chunks.
 
-    Module-level so ``spawn`` can pickle it by reference; also the serial
-    streamed path's per-job body.  Records into a
-    :class:`~repro.obs.stream.SpillingTraceSink` (peak RSS bounded by the
-    spill threshold, not the run length), then writes the session's chunk
-    stream to a spool file the parent folds in submission order.  Returns
-    ``(result, spool_path | None, stats)``; ``stats`` holds only
-    deterministic counts plus the worker's peak RSS, and is routed
-    exclusively to the resources sidecar.
+    Module-level so ``spawn`` can pickle it by reference; also the inline
+    path's per-job body — both paths run *exactly* this code.  Returns
+    ``(result, payload, stats)``; ``payload`` is ``None`` when not
+    observing.  Without a ``stream`` the payload is the session's chunk
+    list, held in memory, and ``stats`` is ``None``.  With one, the
+    session records into a :class:`~repro.obs.stream.SpillingTraceSink`
+    (peak RSS bounded by the spill threshold, not the run length), the
+    payload is the path of the spool file its chunk stream was written
+    to, the job heartbeats under ``progress/``, and ``stats`` holds only
+    deterministic counts plus the worker's peak RSS — routed exclusively
+    to the resources sidecar.
     """
-    base = pathlib.Path(dir_str)
-    progress_dir = base / "progress"
-    obs_stream.write_heartbeat(
-        progress_dir,
-        index,
-        status="start",
-        scenario=_job_label(job),
-        protocol=job.protocol,
-    )
+    progress_dir = None if stream is None else stream.base() / "progress"
+    if progress_dir is not None:
+        obs_stream.write_heartbeat(
+            progress_dir,
+            index,
+            status="start",
+            scenario=_job_label(job),
+            protocol=job.protocol,
+        )
     fn = resolve_protocol(job.protocol)
     scenario = job.build_scenario()
     if not observe:
         result = fn(scenario, **dict(job.kwargs))
+        if progress_dir is None:
+            return result, None, None
         obs_stream.write_heartbeat(
             progress_dir, index, status="done",
             records=0, spans=0, events=0, chunks=0, sim_time=0.0,
         )
         return result, None, {"job": index, "peak_rss_kb": obs_stream.peak_rss_kb()}
-    sink = obs_stream.SpillingTraceSink(
-        base / "spill" / f"job-{index:05d}", max_records=spill_records
-    )
+    sink = None
+    if stream is not None:
+        sink = obs_stream.SpillingTraceSink(
+            stream.base() / "spill" / f"job-{index:05d}",
+            max_records=stream.spill_records,
+        )
     rec = obs_trace.start(sink=sink, bucket_seconds=bucket_seconds)
     try:
         result = fn(scenario, **dict(job.kwargs))
     finally:
         obs_trace.stop()
-    spool_dir = base / "spool"
+    if stream is None:
+        return result, list(rec.to_payload_chunks()), None
+    spool_dir = stream.base() / "spool"
     spool_dir.mkdir(parents=True, exist_ok=True)
     spool_path = spool_dir / f"job-{index:05d}.chunks.jsonl"
     records = spans = events = chunks = 0
     sim_time = 0.0
     with open(spool_path, "w", encoding="utf-8") as fh:
-        for chunk in rec.to_payload_chunks(max_events=max_chunk_events):
+        for chunk in rec.to_payload_chunks(max_events=stream.max_chunk_events):
             fh.write(
                 json.dumps(chunk, sort_keys=True, separators=(",", ":")) + "\n"
             )
@@ -293,6 +289,19 @@ def _execute_streamed(
     return result, str(spool_path), stats
 
 
+def _spooled_chunks(lines: Iterable[str], probe) -> Iterator[dict]:
+    """Parse a spool file's chunk stream lazily, one line at a time.
+
+    The parent never holds more than a single chunk; each line read is
+    counted on the probe as it is handed to the merge.
+    """
+    for line in lines:
+        if line.strip():
+            probe.add_bytes("chunk_bytes_merged", len(line))
+            probe.add_count("chunks_merged")
+            yield json.loads(line)
+
+
 @contextmanager
 def _child_import_path() -> Iterator[None]:
     """Make ``repro`` importable in spawned children via ``PYTHONPATH``.
@@ -323,46 +332,73 @@ def run_jobs(
     """Run jobs and return their results in submission order.
 
     ``workers=0`` runs inline; ``workers>0`` uses that many ``spawn``
-    worker processes.  When an observation session is active, both paths
-    run each job in an isolated session and merge the captured payloads
-    back in submission order, so the exported trace/metrics/series are
-    identical regardless of ``workers``.
+    worker processes.  When an observation session is active, every job
+    runs in an isolated session whose chunk stream is merged back the
+    moment the job's turn in submission order comes, so the exported
+    trace/metrics/series are identical regardless of ``workers`` — and a
+    failing job leaves the parent holding exactly the jobs before it.
 
-    With a :class:`StreamConfig`, payloads travel as bounded chunk
-    streams through spool files instead of monolithic values: worker
-    peak RSS is O(spill bound), the parent merges O(chunk) at a time,
-    and workers heartbeat their progress — all while producing the very
-    same bytes as the monolithic paths (docs/OBSERVABILITY.md §v4).
+    Without a :class:`StreamConfig` the chunks come back in memory.  With
+    one they travel through spool files the parent reads one line at a
+    time: worker peak RSS is O(spill bound), the parent merges O(chunk)
+    at a time, and workers heartbeat their progress — all while producing
+    the very same bytes (docs/OBSERVABILITY.md §v4).
     """
     jobs = list(jobs)
     if workers < 0:
         raise ParallelExecutionError(f"workers must be >= 0, got {workers}")
     if not jobs:
         return []
-    if stream is not None:
-        if workers == 0:
-            return _run_serial_streamed(jobs, stream)
-        return _run_parallel_streamed(jobs, workers, stream)
-    if workers == 0:
-        return _run_serial(jobs)
-    return _run_parallel(jobs, workers)
-
-
-def _run_serial(jobs: list[WorkerJob]) -> list:
     parent = obs_trace.recorder()
-    if parent is None:
-        return [_execute(job, False, DEFAULT_BUCKET_SECONDS)[0] for job in jobs]
-    bucket_seconds = parent.series.bucket_seconds
-    outcomes = []
-    obs_trace.stop()
-    try:
-        for job in jobs:
-            outcomes.append(_execute(job, True, bucket_seconds))
-    finally:
-        obs_trace.resume(parent)
-    for _, payload in outcomes:
-        parent.merge_payload(payload)
-    return [result for result, _ in outcomes]
+    observe = parent is not None
+    bucket_seconds = parent.series.bucket_seconds if observe else DEFAULT_BUCKET_SECONDS
+    probe = obs_stream.NULL_PROBE
+    if stream is not None:
+        probe = stream.probe or probe
+        stream = replace(stream, probe=None)  # the probe stays in the parent
+    results: list = []
+
+    def on_result(index: int, outcome) -> None:
+        result, payload, stats = outcome
+        probe.add_worker(stats)
+        if observe:
+            with probe.stage("merge_chunks"):
+                if stream is None:
+                    parent.merge_payload(payload)
+                else:
+                    # A retried job rewrites its spool from scratch, so a
+                    # half-written spool from a dead worker is never read.
+                    with open(payload, "r", encoding="utf-8") as fh:
+                        parent.merge_payload(_spooled_chunks(fh, probe))
+                    os.remove(payload)
+        results.append(result)
+
+    if workers == 0:
+        if observe:
+            obs_trace.stop()
+        try:
+            for index, job in enumerate(jobs):
+                with probe.stage("execute"):
+                    outcome = _execute(job, index, observe, bucket_seconds, stream)
+                on_result(index, outcome)
+        finally:
+            if observe:
+                obs_trace.resume(parent)
+    else:
+        shipped = [job.shippable() for job in jobs]
+        with _child_import_path():
+            _run_with_worker_recovery(
+                len(shipped),
+                lambda pool, i: pool.submit(
+                    _execute, shipped[i], i, observe, bucket_seconds, stream
+                ),
+                lambda i: f"{shipped[i].spec.describe()} (protocol {shipped[i].protocol!r})",
+                workers,
+                on_result,
+                progress_dir=None if stream is None else stream.base() / "progress",
+            )
+    probe.sample_rss("parent")
+    return results
 
 
 #: Placeholder for a job whose outcome has not arrived yet (results and
@@ -373,7 +409,7 @@ _UNSET = object()
 def _heartbeat_evidence(progress_dir) -> str:
     """Which jobs started but never reported done, per their heartbeats.
 
-    The streamed paths append per-job heartbeats under ``progress/``; when
+    The spool transport appends per-job heartbeats under ``progress/``; when
     a worker dies, the jobs whose files end without a ``done`` record are
     the ones that were on the dead worker — the closest thing to a crash
     log a vanished process leaves behind.
@@ -421,9 +457,11 @@ def _run_with_worker_recovery(
       deterministic poison forever just burns processes.
 
     Completed outcomes are emitted through ``on_result`` in strict
-    submission order (later results wait for earlier holes), so callers
-    can merge observability incrementally and still get byte-identical
-    exports regardless of worker deaths or retries.
+    submission order the moment each one's turn comes (later results wait
+    for earlier holes), so callers merge observability while later jobs
+    still run, get byte-identical exports regardless of worker deaths or
+    retries, and — when a job fails — have already emitted exactly the
+    jobs submitted before it.
     """
     context = multiprocessing.get_context("spawn")
     outcomes: list = [_UNSET] * n_jobs
@@ -462,7 +500,7 @@ def _run_with_worker_recovery(
                     raise ParallelExecutionError(
                         f"job failed for scenario {describe_job(index)}: {exc!r}"
                     ) from exc
-        flush()
+                flush()
         if broken is None:
             return
         suspect, cause = broken
@@ -476,128 +514,3 @@ def _run_with_worker_recovery(
                 f"instead of retrying (cause: {cause!r}){suffix}"
             ) from cause
         pending = [index for index in pending if outcomes[index] is _UNSET]
-
-
-def _run_parallel(jobs: list[WorkerJob], workers: int) -> list:
-    parent = obs_trace.recorder()
-    observe = parent is not None
-    bucket_seconds = parent.series.bucket_seconds if observe else DEFAULT_BUCKET_SECONDS
-    shipped = [job.shippable() for job in jobs]
-    results: list = []
-
-    def on_result(index: int, outcome) -> None:
-        result, payload = outcome
-        if observe:
-            parent.merge_payload(payload)
-        results.append(result)
-
-    with _child_import_path():
-        _run_with_worker_recovery(
-            len(shipped),
-            lambda pool, i: pool.submit(_execute, shipped[i], observe, bucket_seconds),
-            lambda i: f"{shipped[i].spec.describe()} (protocol {shipped[i].protocol!r})",
-            workers,
-            on_result,
-        )
-    return results
-
-
-def _merge_chunk_spool(parent, spool_path: str, probe) -> None:
-    """Fold one worker's spooled chunk stream into the parent session.
-
-    Reads the spool one line at a time — the parent never holds more
-    than a single chunk — and deletes it once fully merged.  A spool
-    whose final chunk never arrived means the worker died mid-capture;
-    that must fail loudly, not truncate the trace silently.
-    """
-    merger = obs_stream.PayloadChunkMerger(parent)
-    with open(spool_path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            probe.add_bytes("chunk_bytes_merged", len(line))
-            probe.add_count("chunks_merged")
-            with probe.stage("merge_chunks"):
-                merger.merge(json.loads(line))
-    if not merger.finished:
-        raise ParallelExecutionError(
-            f"chunk spool {spool_path} ended before its final chunk "
-            "(worker died mid-capture?)"
-        )
-    os.remove(spool_path)
-
-
-def _stream_probe(cfg: StreamConfig):
-    return cfg.probe if cfg.probe is not None else obs_stream.NULL_PROBE
-
-
-def _run_serial_streamed(jobs: list[WorkerJob], cfg: StreamConfig) -> list:
-    parent = obs_trace.recorder()
-    observe = parent is not None
-    bucket_seconds = (
-        parent.series.bucket_seconds if observe else DEFAULT_BUCKET_SECONDS
-    )
-    probe = _stream_probe(cfg)
-    outcomes = []
-    if observe:
-        obs_trace.stop()
-    try:
-        for index, job in enumerate(jobs):
-            with probe.stage("execute"):
-                outcomes.append(
-                    _execute_streamed(
-                        job, index, observe, bucket_seconds, str(cfg.base()),
-                        cfg.max_chunk_events, cfg.spill_records,
-                    )
-                )
-    finally:
-        if observe:
-            obs_trace.resume(parent)
-    results = []
-    for result, spool_path, stats in outcomes:
-        probe.add_worker(stats)
-        if observe and spool_path is not None:
-            _merge_chunk_spool(parent, spool_path, probe)
-        results.append(result)
-    probe.sample_rss("parent")
-    return results
-
-
-def _run_parallel_streamed(
-    jobs: list[WorkerJob], workers: int, cfg: StreamConfig
-) -> list:
-    parent = obs_trace.recorder()
-    observe = parent is not None
-    bucket_seconds = (
-        parent.series.bucket_seconds if observe else DEFAULT_BUCKET_SECONDS
-    )
-    probe = _stream_probe(cfg)
-    shipped = [job.shippable() for job in jobs]
-    results: list = []
-
-    # Merge each stream the moment its job (in submission order)
-    # completes — later workers keep running while earlier chunks fold
-    # in, and the parent never buffers whole payloads.  A retried job
-    # rewrites its spool from scratch, so a half-written spool from a
-    # dead worker is replaced, never merged.
-    def on_result(index: int, outcome) -> None:
-        result, spool_path, stats = outcome
-        probe.add_worker(stats)
-        if observe and spool_path is not None:
-            _merge_chunk_spool(parent, spool_path, probe)
-        results.append(result)
-
-    with _child_import_path():
-        _run_with_worker_recovery(
-            len(shipped),
-            lambda pool, i: pool.submit(
-                _execute_streamed, shipped[i], i, observe, bucket_seconds,
-                str(cfg.base()), cfg.max_chunk_events, cfg.spill_records,
-            ),
-            lambda i: f"{shipped[i].spec.describe()} (protocol {shipped[i].protocol!r})",
-            workers,
-            on_result,
-            progress_dir=cfg.base() / "progress",
-        )
-    probe.sample_rss("parent")
-    return results

@@ -70,3 +70,21 @@ class TestWorkerFailure:
             with pytest.raises(ValueError, match="keebo_day"):
                 run_fleet([fig5_scenarios()[0]], workers=0)
             assert obs.recorder() is rec
+
+    def test_failure_leaves_exactly_the_jobs_before_it(self):
+        """A failing job leaves the parent session holding exactly the jobs
+        submitted before it, whatever ``workers`` is."""
+
+        def exports(rec):
+            return rec.sink.to_jsonl(), rec.metrics.to_json(), rec.series.to_json()
+
+        with obs.observed() as rec:
+            run_fleet([smoke_scenario()], workers=0)
+        alone = exports(rec)
+        left_behind = {}
+        for workers, error in ((0, ValueError), (1, ParallelExecutionError)):
+            with obs.observed() as rec:
+                with pytest.raises(error, match="keebo_day"):
+                    run_fleet([smoke_scenario(), fig5_scenarios()[0]], workers=workers)
+            left_behind[workers] = exports(rec)
+        assert left_behind[0] == left_behind[1] == alone

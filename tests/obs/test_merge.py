@@ -2,8 +2,8 @@
 
 The parallel experiment layer's determinism rests on one identity: running
 scenario A then scenario B in one session produces the same exports as
-running each in an isolated session and merging the payloads in order.
-These tests state that identity directly on synthetic recordings.
+running each in an isolated session and merging their chunk streams in
+order.  These tests state that identity directly on synthetic recordings.
 """
 
 import pytest
@@ -36,7 +36,7 @@ class TestSessionMerge:
         record_block(parent, 100.0, "a")
         worker = Recorder()
         record_block(worker, 700.0, "b")
-        parent.merge_payload(worker.to_payload())
+        parent.merge_payload(worker.to_payload_chunks())
 
         assert exports(parent) == exports(serial)
 
@@ -45,7 +45,7 @@ class TestSessionMerge:
         record_block(parent, 0.0, "a")  # consumes span ids 1..2
         worker = Recorder()
         record_block(worker, 50.0, "b")
-        parent.merge_payload(worker.to_payload())
+        parent.merge_payload(worker.to_payload_chunks())
         span_ids = [r["id"] for r in parent.sink.records if r["type"] == "span"]
         assert sorted(span_ids) == [1, 2, 3, 4]
         # The merged event points at the renumbered enclosing span.
@@ -59,7 +59,7 @@ class TestSessionMerge:
         parent.gauge("repro.test.level").set(5.0, time=10.0)
         worker = Recorder()
         worker.gauge("repro.test.level").set(2.0, time=20.0)
-        parent.merge_payload(worker.to_payload())
+        parent.merge_payload(worker.to_payload_chunks())
         snap = parent.metrics.snapshot()["repro.test.level"]
         assert snap == {"kind": "gauge", "value": 2.0, "updates": 2, "min": 2.0, "max": 5.0}
 
@@ -67,9 +67,9 @@ class TestSessionMerge:
         rec = Recorder()
         span = rec.span("open", 1.0)
         with pytest.raises(ObservabilityError):
-            rec.to_payload()
+            list(rec.to_payload_chunks())
         span.__exit__(None, None, None)
-        assert rec.to_payload()["span_ids"] == 1
+        assert list(rec.to_payload_chunks())[0]["span_id_total"] == 1
 
     def test_resume_restores_stopped_session(self):
         rec = start()
@@ -85,5 +85,5 @@ class TestSessionMerge:
         parent = Recorder()
         record_block(parent, 0.0, "a")
         before = exports(parent)
-        parent.merge_payload(Recorder().to_payload())
+        parent.merge_payload(Recorder().to_payload_chunks())
         assert exports(parent) == before

@@ -10,7 +10,6 @@ from repro.obs.metrics import ObservabilityError
 from repro.obs.stream import (
     CHUNK_SCHEMA_VERSION,
     NULL_PROBE,
-    PayloadChunkMerger,
     ResourceProbe,
     SpillingTraceSink,
     campaign_progress,
@@ -73,11 +72,11 @@ class TestPayloadChunks:
     def test_chunked_merge_equals_monolithic(self, tmp_path):
         mono, chunked = Recorder(), Recorder()
         source_a, source_b = _session(seed=1), _session(seed=2, n=7)
-        mono.merge_payload(source_a.to_payload())
-        mono.merge_payload(source_b.to_payload())
         for source in (source_a, source_b):
-            for chunk in source.to_payload_chunks(max_events=5):
-                chunked.merge_payload_chunk(chunk)
+            single = list(source.to_payload_chunks())
+            assert len(single) == 1  # the whole session in one chunk
+            mono.merge_payload(single)
+            chunked.merge_payload(source.to_payload_chunks(max_events=5))
         assert chunked.sink.to_jsonl() == mono.sink.to_jsonl()
         assert chunked.metrics.to_json() == mono.metrics.to_json()
 
@@ -106,30 +105,22 @@ class TestPayloadChunks:
         assert chunks[0]["schema"] == CHUNK_SCHEMA_VERSION
         assert chunks[0]["records"] == []
 
-    def test_merger_rejects_out_of_order_and_double_finish(self):
-        source = _session()
-        chunks = list(source.to_payload_chunks(max_events=5))
+    def test_truncated_or_inconsistent_stream_is_rejected(self):
+        chunks = list(_session().to_payload_chunks(max_events=5))
         assert len(chunks) > 2
-        target = Recorder()
-        merger = PayloadChunkMerger(target)
-        merger.merge(chunks[0])
-        with pytest.raises(ObservabilityError):
-            merger.merge(chunks[2])  # skipped seq 1
-        finished = Recorder()
-        for chunk in source.to_payload_chunks(max_events=5):
-            finished.merge_payload_chunk(chunk)
-        done = PayloadChunkMerger(finished)
-        done.finished = True
-        with pytest.raises(ObservabilityError):
-            done.merge(chunks[0])
-
-    def test_monolithic_merge_refused_mid_stream(self):
-        source = _session()
-        chunks = list(source.to_payload_chunks(max_events=5))
-        target = Recorder()
-        target.merge_payload_chunk(chunks[0])
-        with pytest.raises(ObservabilityError):
-            target.merge_payload(_session(seed=9).to_payload())
+        first = chunks[0]
+        malformed = {
+            "ended before its final chunk": chunks[:-1],  # final chunk dropped
+            "out of order": [first, *chunks[2:]],  # skipped seq 1
+            "integrity failure": [
+                {**first, "span_id_total": first["span_id_total"] + 1},
+                *chunks[1:],
+            ],
+            "unsupported chunk schema": [{**first, "schema": 0}, *chunks[1:]],
+        }
+        for message, stream in malformed.items():
+            with pytest.raises(ObservabilityError, match=message):
+                Recorder().merge_payload(iter(stream))
 
 
 class TestHeartbeats:

@@ -1,16 +1,17 @@
-"""Algebra of ``Recorder.merge_payload`` / ``to_payload_chunks``.
+"""Algebra of ``Recorder.merge_payload`` over ``to_payload_chunks`` streams.
 
-The session-merge machinery is what lets worker observability re-enter the
-parent recorder in any packaging (one monolithic payload, or a stream of
-bounded chunks) without changing a byte of the export.  These properties
-pin the algebra that makes that safe:
+A worker session re-enters the parent recorder as one chunk stream, cut
+at any ``max_events``, without changing a byte of the export.  These
+properties pin the algebra that makes that safe:
 
-* merging an **empty** payload is a no-op, span-id counter included;
+* merging an **empty** session's stream is a no-op, span-id counter
+  included;
 * merge is **associative** over sessions — folding (A, B) then C equals
   folding A then (B ⊕ C re-exported), record for record;
 * ``reserve_span_ids`` interleaved with merges keeps offsets exact: the
   id counter advances by exactly (reserved + merged spans) and merged
-  span ids never collide.
+  span ids never collide;
+* every ``max_events`` folds to the bytes of a single-chunk stream.
 """
 
 from hypothesis import given, settings
@@ -47,7 +48,7 @@ def test_empty_payload_merge_is_a_noop(shape):
     seed, n = shape
     target = _session(seed, n)
     control = _session(seed, n)
-    target.merge_payload(Recorder().to_payload())
+    target.merge_payload(Recorder().to_payload_chunks())
     assert target.sink.to_jsonl() == control.sink.to_jsonl()
     assert target.metrics.to_json() == control.metrics.to_json()
     assert target.series.to_json() == control.series.to_json()
@@ -58,20 +59,20 @@ def test_empty_payload_merge_is_a_noop(shape):
 @given(shapes=st.lists(session_shapes, min_size=3, max_size=3))
 @settings(max_examples=25, deadline=None)
 def test_merge_is_associative_over_sessions(shapes):
-    payloads = [_session(seed, n).to_payload() for seed, n in shapes]
+    payloads = [list(_session(seed, n).to_payload_chunks()) for seed, n in shapes]
 
     left = Recorder()  # (A ⊕ B) ⊕ C
     for payload in payloads:
         left.merge_payload(payload)
 
     # A ⊕ (B ⊕ C): fold B and C into an intermediate recorder first, then
-    # merge its re-exported payload after A.
+    # merge its re-exported chunk stream after A.
     inner = Recorder()
     inner.merge_payload(payloads[1])
     inner.merge_payload(payloads[2])
     right = Recorder()
     right.merge_payload(payloads[0])
-    right.merge_payload(inner.to_payload())
+    right.merge_payload(inner.to_payload_chunks())
 
     assert left.sink.to_jsonl() == right.sink.to_jsonl()
     assert left.metrics.to_json() == right.metrics.to_json()
@@ -97,9 +98,11 @@ def test_interleaved_reservations_keep_offsets_exact(steps):
             consumed += k
         else:
             seed, n = step
-            payload = _session(seed, n).to_payload()
-            spans_in = sum(1 for r in payload["records"] if r["type"] == "span")
-            target.merge_payload(payload)
+            chunks = list(_session(seed, n).to_payload_chunks())
+            spans_in = sum(
+                1 for c in chunks for r in c["records"] if r["type"] == "span"
+            )
+            target.merge_payload(chunks)
             consumed += spans_in
     assert _next_span_id(target) == consumed + 1
     merged_ids = [r["id"] for r in target.sink.records if r["type"] == "span"]
@@ -111,10 +114,11 @@ def test_interleaved_reservations_keep_offsets_exact(steps):
 @settings(max_examples=25, deadline=None)
 def test_chunked_merge_equals_monolithic_merge(shape, max_events):
     seed, n = shape
+    single = list(_session(seed, n).to_payload_chunks())
+    assert len(single) == 1  # the whole session in one (monolithic) chunk
     mono, chunked = Recorder(), Recorder()
-    mono.merge_payload(_session(seed, n).to_payload())
-    for chunk in _session(seed, n).to_payload_chunks(max_events=max_events):
-        chunked.merge_payload_chunk(chunk)
+    mono.merge_payload(single)
+    chunked.merge_payload(_session(seed, n).to_payload_chunks(max_events=max_events))
     assert chunked.sink.to_jsonl() == mono.sink.to_jsonl()
     assert chunked.metrics.to_json() == mono.metrics.to_json()
     assert chunked.series.to_json() == mono.series.to_json()
