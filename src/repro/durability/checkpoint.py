@@ -3,7 +3,8 @@
 Layout of a checkpoint directory::
 
     MANIFEST.json    identity: schema, account, config_hash, cadence
-    snapshot.json    last compacted full state (atomic, checksummed)
+    snapshot.json    last compacted full state (compact canonical JSON,
+                     atomic, checksummed)
     journal.jsonl    framed delta entries since (at most) that snapshot
 
 Crash-consistency contract
@@ -27,7 +28,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.common.errors import RecoveryError
-from repro.durability.codec import state_checksum
+from repro.durability.codec import canonical_json, checksum_text, state_checksum
 from repro.durability.io import (
     append_journal_entry,
     atomic_write_bytes,
@@ -96,16 +97,17 @@ class CheckpointStore:
 
         Ordering matters (see module docstring): snapshot first, basis
         second, so the only crash window produces a *lagging* journal.
+
+        The state is encoded once and that text is both hashed and spliced
+        into the wrapper, so the file equals ``canonical_json(wrapper)``.
         """
-        checksum = state_checksum(state)
-        wrapper = {
-            "schema": SCHEMA,
-            "seq": seq,
-            "time": time,
-            "checksum": checksum,
-            "state": state,
-        }
-        atomic_write_text(self.snapshot_path, dumps_json(wrapper))
+        text = canonical_json(state)
+        checksum = checksum_text(text)
+        atomic_write_text(
+            self.snapshot_path,
+            f'{{"checksum":{json.dumps(checksum)},"schema":{json.dumps(SCHEMA)},'
+            f'"seq":{json.dumps(seq)},"state":{text},"time":{json.dumps(time)}}}',
+        )
         basis = {"seq": seq, "kind": "basis", "checksum": checksum}
         atomic_write_bytes(self.journal_path, frame_entry(basis))
 

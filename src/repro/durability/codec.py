@@ -16,6 +16,10 @@ Encoding conventions (all byte-stable):
   members flattened to their names/values.
 - floats ride as JSON numbers — ``repr``-based round-tripping in the
   stdlib encoder is exact for finite doubles.
+
+:func:`canonical_json` (compact, sorted keys) is the one text of a state:
+:func:`state_checksum` hashes it and ``snapshot.json`` embeds it, so a
+snapshot is encoded once, on CPython's C encoder (``indent`` is not).
 """
 
 from __future__ import annotations
@@ -40,6 +44,8 @@ __all__ = [
     "decode_config",
     "encode_window",
     "decode_window",
+    "canonical_json",
+    "checksum_text",
     "state_checksum",
     "require_keys",
 ]
@@ -101,10 +107,19 @@ def decode_window(state: dict[str, Any]) -> Window:
     return Window(start=float(state["start"]), end=float(state["end"]))
 
 
+def canonical_json(state: dict[str, Any]) -> str:
+    """The canonical (compact, sorted-key, ASCII) JSON text of ``state``."""
+    return json.dumps(state, sort_keys=True, separators=(",", ":"))
+
+
+def checksum_text(text: str) -> str:
+    """SHA-256 hex digest of a canonical JSON text."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def state_checksum(state: dict[str, Any]) -> str:
-    """SHA-256 over the canonical (compact, sorted-key) JSON of ``state``."""
-    canonical = json.dumps(state, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    """SHA-256 over :func:`canonical_json` of ``state``."""
+    return checksum_text(canonical_json(state))
 
 
 def require_keys(state: dict[str, Any], keys: tuple[str, ...], owner: str) -> None:

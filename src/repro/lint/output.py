@@ -26,10 +26,10 @@ _SARIF_LEVEL = {"warning": "warning", "error": "error"}
 def dumps_json(payload: dict) -> str:
     """The byte-stable JSON text: sorted keys, 2-space indent, trailing LF.
 
-    The single serializer behind every JSON artifact the repo diffs in CI
-    (lint/analyze output, portal exports, attribution reports) — one place
-    to define "stable", so artifacts from different subsystems never drift
-    in formatting.
+    The serializer behind the JSON artifacts people read and CI diffs
+    (lint/analyze output, portal exports, attribution reports).  Checkpoint
+    snapshots are compact instead (``durability.codec.canonical_json``):
+    ``indent`` sends CPython to its slow pure-Python encoder.
     """
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 

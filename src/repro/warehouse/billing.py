@@ -12,10 +12,17 @@ Billing rules reproduced here (all load-bearing for the paper's cost model):
 
 The meter records one :class:`UsageSegment` per continuous cluster run at a
 fixed size; a resize closes the segment and opens a new one at the new rate.
+
+Window queries bisect past the closed segments whose billed windows end
+by the window's start, on the running maximum of billed ends (segments can
+close out of time order).  Each skipped one would add exactly ``+0.0``, so
+results are bit-identical to a full scan.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from repro.common.errors import WarehouseError
@@ -58,6 +65,8 @@ class BillingMeter:
     def __init__(self, warehouse: str):
         self.warehouse = warehouse
         self._closed: list[UsageSegment] = []
+        #: ``_reach[i]``: latest billed end among ``_closed[: i + 1]``.
+        self._reach: list[float] = []
         self._open: dict[int, UsageSegment] = {}
 
     def open_segment(
@@ -79,6 +88,8 @@ class BillingMeter:
             raise WarehouseError("cannot close a segment before it started")
         seg.end = t
         self._closed.append(seg)
+        end = seg.billed_window().end
+        self._reach.append(max(end, self._reach[-1]) if self._reach else end)
         rec = obs.recorder()
         if rec is not None:
             # Segment credits are final at close time (a resize closes and
@@ -105,24 +116,27 @@ class BillingMeter:
     def open_cluster_ids(self) -> list[int]:
         return sorted(self._open)
 
-    def _all_segments(self, as_of: float | None = None) -> list[UsageSegment]:
-        segments = list(self._closed)
-        for seg in self._open.values():
-            if as_of is None:
-                continue
-            snapshot = UsageSegment(seg.cluster_id, seg.size, seg.start, max(as_of, seg.start), seg.fresh_start)
-            segments.append(snapshot)
+    def _segments(self, as_of: float | None, after: float = -math.inf) -> list[UsageSegment]:
+        """Closed segments in close order, from the first whose billed window
+        may end past ``after``, then open segments valued at ``as_of``
+        (none when ``as_of`` is None)."""
+        segments = self._closed[bisect_right(self._reach, after):]
+        if as_of is not None:
+            segments.extend(
+                UsageSegment(seg.cluster_id, seg.size, seg.start, max(as_of, seg.start), seg.fresh_start)
+                for seg in self._open.values()
+            )
         return segments
 
     def total_credits(self, as_of: float | None = None) -> float:
         """Total credits billed so far (open segments valued at ``as_of``)."""
-        return sum(seg.credits() for seg in self._all_segments(as_of))
+        return sum(seg.credits() for seg in self._segments(as_of))
 
     def credits_in_window(self, window: Window, as_of: float | None = None) -> float:
         """Credits attributable to ``window`` (minimum charges included at
         the start of their segment's billed window)."""
         total = 0.0
-        for seg in self._all_segments(as_of if as_of is not None else window.end):
+        for seg in self._segments(as_of if as_of is not None else window.end, window.start):
             billed = seg.billed_window()
             total += billed.overlap(window) / HOUR * seg.size.credits_per_hour
         return total
@@ -130,7 +144,7 @@ class BillingMeter:
     def hourly_rollup(self, window: Window, as_of: float | None = None) -> dict[int, float]:
         """WAREHOUSE_METERING_HISTORY: credits per hour index inside ``window``."""
         rollup: dict[int, float] = {}
-        for seg in self._all_segments(as_of if as_of is not None else window.end):
+        for seg in self._segments(as_of if as_of is not None else window.end, window.start):
             billed = seg.billed_window()
             clipped_start = max(billed.start, window.start)
             clipped_end = min(billed.end, window.end)
@@ -144,6 +158,9 @@ class BillingMeter:
     def active_cluster_seconds(self, window: Window, as_of: float | None = None) -> float:
         """Billed cluster-seconds overlapping ``window`` (for utilization KPIs)."""
         return sum(
-            seg.billed_window().overlap(window)
-            for seg in self._all_segments(as_of if as_of is not None else window.end)
+            (
+                seg.billed_window().overlap(window)
+                for seg in self._segments(as_of if as_of is not None else window.end, window.start)
+            ),
+            0.0,
         )

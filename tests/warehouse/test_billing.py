@@ -126,3 +126,47 @@ class TestBillingMeter:
         meter.open_segment(3, 0.0, WarehouseSize.XS)
         meter.open_segment(1, 0.0, WarehouseSize.XS)
         assert meter.open_cluster_ids == [1, 3]
+
+
+class TestWindowScanWork:
+    """Deterministic work counter: a trailing-window query examines the
+    segments near the window, not the meter's whole history."""
+
+    @staticmethod
+    def meter_with_history(days: int) -> BillingMeter:
+        # Two clusters cycling every 10 minutes, closed out of time order:
+        # cluster 2's run ends at t + 90 but is closed after cluster 1's
+        # resized run, which ends at t + 300.
+        meter = BillingMeter("WH")
+        for k in range(days * 144):
+            t = k * 600.0
+            meter.open_segment(1, t, WarehouseSize.S)
+            meter.open_segment(2, t + 60.0, WarehouseSize.XS)
+            meter.reprice_segment(1, t + 200.0, WarehouseSize.M)
+            meter.close_segment(1, t + 300.0)
+            meter.close_segment(2, t + 90.0)
+        return meter
+
+    @staticmethod
+    def segments_examined(meter: BillingMeter, window: Window, monkeypatch) -> int:
+        calls = 0
+        billed_window = UsageSegment.billed_window
+
+        def counting(seg):
+            nonlocal calls
+            calls += 1
+            return billed_window(seg)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(UsageSegment, "billed_window", counting)
+            meter.credits_in_window(window)
+        return calls
+
+    def test_trailing_hour_scan_is_bounded_by_the_window(self, monkeypatch):
+        examined = {}
+        for days in (1, 10):
+            end = days * 24 * HOUR
+            meter = self.meter_with_history(days)
+            examined[days] = self.segments_examined(meter, Window(end - HOUR, end), monkeypatch)
+        # Six 10-minute cycles of three segments each overlap the hour.
+        assert examined[1] == examined[10] == 18
